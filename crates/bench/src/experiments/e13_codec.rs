@@ -249,7 +249,7 @@ pub fn table_from_rows(copy_rows: &[CopyRow], pipeline_rows: &[PipelineRow]) -> 
     {
         table.note(format!(
             "E12 re-measured over the framed wire: W = 4 delivers {} msgs/s \
-             (baseline BENCH_pipeline.json: 794.2 at W = 4, full mode)",
+             (baseline BENCH_pipeline.json: 1521.0 at W = 4, full mode)",
             fmt_f64(w4.throughput_msgs_per_sec)
         ));
     }

@@ -17,8 +17,36 @@
 //!   periodically, so the instance terminates once a majority of processes
 //!   stay up long enough and the detector stabilises;
 //! * undecided participants periodically `Query` their peers, and anyone
-//!   who knows the decision re-announces it, so decisions propagate to
-//!   recovering processes over the fair-lossy links.
+//!   who knows the decision answers it, so decisions propagate to
+//!   recovering processes over the fair-lossy links.  Only the coordinator
+//!   that decides announces the decision to everyone; a process that
+//!   learns it from a `Decided` message stays quiet.
+//!
+//! # The ballot-0 fast path
+//!
+//! Ballots are ordered by `(number, coordinator)`, and
+//! [`Ballot::next_for`] never issues attempt number 0, so
+//! [`Ballot::initial`] — `(0, p0)` — is the lowest ballot there is and
+//! only process p0 ever coordinates it.  Phase 1 exists to learn which
+//! value a *lower* ballot may already have chosen; below `b0` there is
+//! nothing to learn, so any value is safe for `b0` (Lamport, *Paxos Made
+//! Simple*, 2001; Mencius runs each instance's default coordinator the
+//! same way).  p0 therefore skips Phase 1 on an instance whose acceptor
+//! has promised, accepted and observed nothing: in the step that starts
+//! the ballot it logs its proposal, the promise `b0` and
+//! `accepted = (b0, proposal)` under one barrier, counts itself as
+//! accepted, and multisends `AcceptRequest(b0, proposal)`.
+//!
+//! What keeps this safe across crashes is that `b0` is tied to exactly
+//! one value: the proposal is logged once and never changes (property
+//! P4), and the logged promise `b0` is the watermark that stops a
+//! recovered p0 from taking the fast path again — it starts a Phase-1
+//! ballot above `b0` instead, and that ballot's Phase 1 finds `(b0, v)`
+//! wherever it was accepted.  If the step's commit fails, no message of
+//! the step leaves the process, so an unlogged `b0` was never seen.  A
+//! `Nack` (some acceptor promised a higher ballot), recovered `b0` state,
+//! a crash-stop instance (nothing is logged) and every coordinator other
+//! than p0 use the two-phase path.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -134,18 +162,32 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
     /// *before* any message is sent (the log operation the paper counts);
     /// proposing again — e.g. after a recovery — keeps the logged value and
     /// ignores the new one, making the primitive idempotent (property P4).
-    pub fn propose(&mut self, value: V, ctx: &mut dyn ActorContext<InstanceMsg<V>>) {
+    ///
+    /// The Ω leader starts its ballot in the same step (the ballot-0 fast
+    /// path when it is open, see the module documentation); the driver
+    /// tick remains as the retransmission fallback.  Its Prepare or
+    /// AcceptRequest already draws the decision from any peer that knows
+    /// it.  Any other process eagerly asks whether the instance is already
+    /// decided: a recovering process re-proposing to an old instance learns
+    /// the outcome in one round trip instead of waiting for its Query tick.
+    pub fn propose(
+        &mut self,
+        value: V,
+        is_leader: bool,
+        ctx: &mut dyn ActorContext<InstanceMsg<V>>,
+    ) {
+        let mut log = WriteBatch::new();
         if self.proposal.is_none() {
             if self.persist {
-                let _ = ctx
-                    .storage()
-                    .store_value(&keys::consensus_proposal(self.instance), &value);
+                log.store_value(&keys::consensus_proposal(self.instance), &value);
             }
             self.proposal = Some(value);
         }
-        // Eagerly ask whether the instance is already decided: a recovering
-        // process re-proposing to an old instance learns the outcome in one
-        // round trip instead of waiting for its Query tick.
+        if self.decision.is_none() && is_leader {
+            self.drive(log, ctx);
+            return;
+        }
+        self.commit(log, ctx);
         if self.decision.is_none() {
             ctx.multisend(InstanceMsg::Query);
         }
@@ -163,8 +205,13 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
             InstanceMsg::Prepare { ballot } => {
                 self.observe_ballot(ballot);
                 if self.promised.is_none_or(|p| ballot >= p) {
-                    self.promised = Some(ballot);
-                    self.persist_acceptor(ctx);
+                    // A repeated Prepare (a retransmission, or the
+                    // coordinator's own copy after its synchronous
+                    // self-promise) changes nothing and logs nothing.
+                    if self.promised != Some(ballot) {
+                        self.promised = Some(ballot);
+                        self.persist_acceptor(WriteBatch::new(), ctx);
+                    }
                     ctx.send(
                         from,
                         InstanceMsg::Promise {
@@ -181,9 +228,13 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
             InstanceMsg::AcceptRequest { ballot, value } => {
                 self.observe_ballot(ballot);
                 if self.promised.is_none_or(|p| ballot >= p) {
-                    self.promised = Some(ballot);
-                    self.accepted = Some((ballot, value));
-                    self.persist_acceptor(ctx);
+                    let repeated = self.promised == Some(ballot)
+                        && matches!(&self.accepted, Some((b, v)) if *b == ballot && *v == value);
+                    if !repeated {
+                        self.promised = Some(ballot);
+                        self.accepted = Some((ballot, value));
+                        self.persist_acceptor(WriteBatch::new(), ctx);
+                    }
                     ctx.send(from, InstanceMsg::Accepted { ballot });
                 } else if let Some(promised) = self.promised {
                     ctx.send(from, InstanceMsg::Nack { ballot, promised });
@@ -217,7 +268,7 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
                     self.accepts.insert(from);
                     if self.accepts.len() >= ctx.processes().majority() {
                         let value = self.chosen.clone().expect("accepting implies a chosen value");
-                        return self.learn(value, ctx);
+                        return self.learn(value, true, ctx);
                     }
                 }
                 None
@@ -234,7 +285,7 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
                 }
                 None
             }
-            InstanceMsg::Decided { value } => self.learn(value, ctx),
+            InstanceMsg::Decided { value } => self.learn(value, false, ctx),
             InstanceMsg::Query => {
                 self.answer_if_decided(from, ctx);
                 None
@@ -258,43 +309,7 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
             return None;
         }
         if is_leader {
-            match self.phase {
-                Phase::Idle => {
-                    let ballot = Ballot::new(self.highest_ballot_number, ProcessId::new(0))
-                        .next_for(ctx.me(), ctx.processes().len());
-                    self.observe_ballot(ballot);
-                    // Promise the ballot to ourselves synchronously — logged
-                    // *before* the Prepare leaves — instead of waiting for
-                    // the multisend's lossy self-delivery.  The persisted
-                    // promise doubles as the coordinator's issued-ballot
-                    // watermark: without it, a coordinator that crashes
-                    // between issuing `Prepare` and receiving its own copy
-                    // recovers with a stale `highest_ballot_number`, reissues
-                    // the *same* ballot number around a possibly different
-                    // value, and stale value-less `Accepted` acks from the
-                    // previous incarnation then count toward the new value's
-                    // majority — two decisions for one instance.
-                    self.promised = Some(ballot);
-                    self.persist_acceptor(ctx);
-                    self.current_ballot = Some(ballot);
-                    self.phase = Phase::Preparing;
-                    self.promises.clear();
-                    self.accepts.clear();
-                    self.promises.insert(ctx.me(), self.accepted.clone());
-                    ctx.multisend(InstanceMsg::Prepare { ballot });
-                }
-                Phase::Preparing => {
-                    if let Some(ballot) = self.current_ballot {
-                        ctx.multisend(InstanceMsg::Prepare { ballot });
-                    }
-                }
-                Phase::Accepting => {
-                    if let (Some(ballot), Some(value)) = (self.current_ballot, self.chosen.clone())
-                    {
-                        ctx.multisend(InstanceMsg::AcceptRequest { ballot, value });
-                    }
-                }
-            }
+            self.drive(WriteBatch::new(), ctx);
         } else {
             // Not the leader: stop driving (a new leader will), but keep
             // asking whether a decision exists so we eventually learn it
@@ -312,21 +327,98 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
         }
     }
 
-    fn persist_acceptor(&self, ctx: &mut dyn ActorContext<InstanceMsg<V>>) {
-        if !self.persist {
+    /// Leader-side driver: starts a ballot when none is running (committing
+    /// `log`, the caller's pending records, in the same batch), otherwise
+    /// retransmits the current phase.
+    fn drive(&mut self, log: WriteBatch, ctx: &mut dyn ActorContext<InstanceMsg<V>>) {
+        match self.phase {
+            Phase::Idle => self.start_ballot(log, ctx),
+            Phase::Preparing => {
+                self.commit(log, ctx);
+                if let Some(ballot) = self.current_ballot {
+                    ctx.multisend(InstanceMsg::Prepare { ballot });
+                }
+            }
+            Phase::Accepting => {
+                self.commit(log, ctx);
+                if let (Some(ballot), Some(value)) = (self.current_ballot, self.chosen.clone()) {
+                    ctx.multisend(InstanceMsg::AcceptRequest { ballot, value });
+                }
+            }
+        }
+    }
+
+    /// `true` while p0 may run `b0` without Phase 1: a logged instance
+    /// whose acceptor has promised, accepted and observed nothing (see the
+    /// module documentation).
+    fn fast_path_open(&self, me: ProcessId) -> bool {
+        self.persist
+            && me == Ballot::initial().coordinator
+            && self.promised.is_none()
+            && self.accepted.is_none()
+            && self.highest_ballot_number == 0
+    }
+
+    /// Starts a new ballot coordinated by this process: `b0` without
+    /// Phase 1 when the fast path is open, otherwise a Phase-1 ballot above
+    /// every ballot observed so far.
+    fn start_ballot(&mut self, log: WriteBatch, ctx: &mut dyn ActorContext<InstanceMsg<V>>) {
+        let me = ctx.me();
+        self.promises.clear();
+        self.accepts.clear();
+        if self.fast_path_open(me) {
+            let ballot = Ballot::initial();
+            let value = self.proposal.clone().expect("only a proposer starts ballots");
+            self.promised = Some(ballot);
+            self.accepted = Some((ballot, value.clone()));
+            self.persist_acceptor(log, ctx);
+            self.current_ballot = Some(ballot);
+            self.chosen = Some(value.clone());
+            self.phase = Phase::Accepting;
+            self.accepts.insert(me);
+            ctx.multisend(InstanceMsg::AcceptRequest { ballot, value });
             return;
         }
+        let ballot = Ballot::new(self.highest_ballot_number, ProcessId::new(0))
+            .next_for(me, ctx.processes().len());
+        self.observe_ballot(ballot);
+        // Promise the ballot to ourselves synchronously — logged *before*
+        // the Prepare leaves — instead of waiting for the multisend's lossy
+        // self-delivery.  The persisted promise doubles as the
+        // coordinator's issued-ballot watermark: without it, a coordinator
+        // that crashes between issuing `Prepare` and receiving its own copy
+        // recovers with a stale `highest_ballot_number`, reissues the
+        // *same* ballot number around a possibly different value, and stale
+        // value-less `Accepted` acks from the previous incarnation then
+        // count toward the new value's majority — two decisions for one
+        // instance.
+        self.promised = Some(ballot);
+        self.persist_acceptor(log, ctx);
+        self.current_ballot = Some(ballot);
+        self.phase = Phase::Preparing;
+        self.promises.insert(me, self.accepted.clone());
+        ctx.multisend(InstanceMsg::Prepare { ballot });
+    }
+
+    /// Logs the acceptor state (promise and accepted value) together with
+    /// `log`, the caller's other records for this step.
+    fn persist_acceptor(&self, mut log: WriteBatch, ctx: &mut dyn ActorContext<InstanceMsg<V>>) {
         // The promise and the accepted value take effect together, so they
         // are committed under a single durability barrier instead of two.
-        let mut batch = WriteBatch::new();
-        if let Some(promised) = self.promised {
-            batch.store_value(&keys::consensus_promised(self.instance), &promised);
+        if self.persist {
+            if let Some(promised) = self.promised {
+                log.store_value(&keys::consensus_promised(self.instance), &promised);
+            }
+            if let Some(accepted) = &self.accepted {
+                log.store_value(&keys::consensus_accepted(self.instance), accepted);
+            }
         }
-        if let Some(accepted) = &self.accepted {
-            batch.store_value(&keys::consensus_accepted(self.instance), accepted);
-        }
-        if !batch.is_empty() {
-            let _ = ctx.storage().commit_batch(batch); // xlint:allow(B2) — staged view: this merges into the step batch; the single barrier is still paid in StepContext::finish
+        self.commit(log, ctx);
+    }
+
+    fn commit(&self, log: WriteBatch, ctx: &mut dyn ActorContext<InstanceMsg<V>>) {
+        if !log.is_empty() {
+            let _ = ctx.storage().commit_batch(log); // xlint:allow(B2) — staged view: this merges into the step batch; the single barrier is still paid in StepContext::finish
         }
     }
 
@@ -336,7 +428,16 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
         }
     }
 
-    fn learn(&mut self, value: V, ctx: &mut dyn ActorContext<InstanceMsg<V>>) -> Option<V> {
+    /// Records the decision.  `announce` is set only for the coordinator
+    /// that decided: it multisends the decision once, and peers that miss
+    /// it learn it by `Query` (or from the answer to a later ballot).  A
+    /// process that learned from a `Decided` message does not repeat it.
+    fn learn(
+        &mut self,
+        value: V,
+        announce: bool,
+        ctx: &mut dyn ActorContext<InstanceMsg<V>>,
+    ) -> Option<V> {
         if let Some(existing) = &self.decision {
             debug_assert_eq!(
                 existing, &value,
@@ -352,8 +453,9 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
         }
         self.decision = Some(value.clone());
         self.phase = Phase::Idle;
-        // Announce the decision once; peers that miss it will Query.
-        ctx.multisend(InstanceMsg::Decided { value: value.clone() });
+        if announce {
+            ctx.multisend(InstanceMsg::Decided { value: value.clone() });
+        }
         Some(value)
     }
 }
@@ -378,12 +480,19 @@ mod tests {
         Ballot::new(n, ProcessId::new(coord))
     }
 
+    fn prepare_ballot(ctx: &Ctx) -> Ballot {
+        match ctx.multisent.last() {
+            Some(InstanceMsg::Prepare { ballot }) => *ballot,
+            other => panic!("expected prepare, got {other:?}"),
+        }
+    }
+
     #[test]
     fn propose_logs_once_and_is_idempotent() {
         let mut ctx = ctx_for(0, 3);
         let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
-        inst.propose(42, &mut ctx);
-        inst.propose(99, &mut ctx); // ignored: already proposed
+        inst.propose(42, false, &mut ctx);
+        inst.propose(99, false, &mut ctx); // ignored: already proposed
         assert_eq!(inst.proposal(), Some(&42));
 
         // The proposal reached stable storage exactly once.
@@ -399,7 +508,7 @@ mod tests {
     fn recovery_restores_proposal_promise_accept_and_decision() {
         let mut ctx = ctx_for(0, 3);
         let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
-        inst.propose(7, &mut ctx);
+        inst.propose(7, false, &mut ctx);
         inst.on_message(ProcessId::new(1), InstanceMsg::Prepare { ballot: b(1, 1) }, &mut ctx);
         inst.on_message(
             ProcessId::new(1),
@@ -485,25 +594,24 @@ mod tests {
 
     #[test]
     fn leader_runs_both_phases_and_decides_with_a_majority() {
+        // p1 coordinates: only p0 has a ballot-0 fast path, so this is the
+        // full two-phase flow.
         let n = 3;
-        let me = ProcessId::new(0);
-        let mut ctx = ctx_for(0, n);
+        let me = ProcessId::new(1);
+        let mut ctx = ctx_for(1, n);
         let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
-        inst.propose(5, &mut ctx);
+        inst.propose(5, false, &mut ctx);
         ctx.clear_effects();
 
-        // Tick as leader: starts Prepare with a ballot coordinated by p0.
+        // Tick as leader: starts Prepare with a ballot coordinated by p1.
         inst.tick(true, &mut ctx);
-        let ballot = match ctx.multisent.last() {
-            Some(InstanceMsg::Prepare { ballot }) => *ballot,
-            other => panic!("expected prepare, got {other:?}"),
-        };
+        let ballot = prepare_ballot(&ctx);
         assert_eq!(ballot.coordinator, me);
 
-        // Majority of promises (self + p1) moves to the accept phase.
+        // Majority of promises (self + p2) moves to the accept phase.
         inst.on_message(me, InstanceMsg::Promise { ballot, accepted: None }, &mut ctx);
         inst.on_message(
-            ProcessId::new(1),
+            ProcessId::new(2),
             InstanceMsg::Promise { ballot, accepted: None },
             &mut ctx,
         );
@@ -516,7 +624,7 @@ mod tests {
         let decided_by_first = inst.on_message(me, InstanceMsg::Accepted { ballot }, &mut ctx);
         assert_eq!(decided_by_first, None);
         let decided =
-            inst.on_message(ProcessId::new(1), InstanceMsg::Accepted { ballot }, &mut ctx);
+            inst.on_message(ProcessId::new(2), InstanceMsg::Accepted { ballot }, &mut ctx);
         assert_eq!(decided, Some(5));
         assert_eq!(inst.decision(), Some(&5));
         assert!(matches!(
@@ -528,20 +636,16 @@ mod tests {
     #[test]
     fn leader_adopts_the_highest_previously_accepted_value() {
         let n = 5;
-        let mut ctx = ctx_for(0, n);
+        let mut ctx = ctx_for(1, n);
         let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
-        inst.propose(100, &mut ctx);
-        inst.tick(true, &mut ctx);
-        let ballot = match ctx.multisent.last() {
-            Some(InstanceMsg::Prepare { ballot }) => *ballot,
-            other => panic!("expected prepare, got {other:?}"),
-        };
+        inst.propose(100, true, &mut ctx);
+        let ballot = prepare_ballot(&ctx);
         ctx.clear_effects();
 
         // Promises report two different previously accepted values; the one
         // with the highest ballot must win (here: 55 at ballot 4).
         inst.on_message(
-            ProcessId::new(1),
+            ProcessId::new(0),
             InstanceMsg::Promise { ballot, accepted: Some((b(2, 2), 33)) },
             &mut ctx,
         );
@@ -559,27 +663,20 @@ mod tests {
 
     #[test]
     fn nack_makes_the_leader_retry_with_a_higher_ballot() {
-        let mut ctx = ctx_for(0, 3);
+        let mut ctx = ctx_for(1, 3);
         let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
-        inst.propose(1, &mut ctx);
-        inst.tick(true, &mut ctx);
-        let first_ballot = match ctx.multisent.last() {
-            Some(InstanceMsg::Prepare { ballot }) => *ballot,
-            other => panic!("expected prepare, got {other:?}"),
-        };
+        inst.propose(1, true, &mut ctx);
+        let first_ballot = prepare_ballot(&ctx);
         inst.on_message(
-            ProcessId::new(1),
-            InstanceMsg::Nack { ballot: first_ballot, promised: b(10, 1) },
+            ProcessId::new(2),
+            InstanceMsg::Nack { ballot: first_ballot, promised: b(10, 2) },
             &mut ctx,
         );
         ctx.clear_effects();
         inst.tick(true, &mut ctx);
-        let second_ballot = match ctx.multisent.last() {
-            Some(InstanceMsg::Prepare { ballot }) => *ballot,
-            other => panic!("expected prepare, got {other:?}"),
-        };
+        let second_ballot = prepare_ballot(&ctx);
         assert!(second_ballot.number > 10);
-        assert_eq!(second_ballot.coordinator, ProcessId::new(0));
+        assert_eq!(second_ballot.coordinator, ProcessId::new(1));
     }
 
     #[test]
@@ -606,7 +703,8 @@ mod tests {
     fn non_leader_queries_instead_of_driving() {
         let mut ctx = ctx_for(2, 3);
         let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
-        inst.propose(4, &mut ctx);
+        inst.propose(4, false, &mut ctx);
+        assert!(matches!(ctx.multisent.last(), Some(InstanceMsg::Query)));
         ctx.clear_effects();
         inst.tick(false, &mut ctx);
         assert!(matches!(ctx.multisent.last(), Some(InstanceMsg::Query)));
@@ -622,7 +720,7 @@ mod tests {
     fn crash_stop_mode_never_touches_storage() {
         let mut ctx = ctx_for(0, 3);
         let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), false);
-        inst.propose(3, &mut ctx);
+        inst.propose(3, true, &mut ctx);
         inst.on_message(ProcessId::new(1), InstanceMsg::Prepare { ballot: b(1, 1) }, &mut ctx);
         inst.on_message(
             ProcessId::new(1),
@@ -642,14 +740,11 @@ mod tests {
         // acks from its previous incarnation count toward a different
         // value's majority.  The synchronous self-promise at issuance is
         // the durable watermark; recovery must start strictly above it.
-        let mut ctx = ctx_for(0, 3);
+        // (p1 coordinates: p0's ballot-0 fast path has its own test.)
+        let mut ctx = ctx_for(1, 3);
         let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
-        inst.propose(1, &mut ctx);
-        inst.tick(true, &mut ctx);
-        let first = match ctx.multisent.last() {
-            Some(InstanceMsg::Prepare { ballot }) => *ballot,
-            other => panic!("expected prepare, got {other:?}"),
-        };
+        inst.propose(1, true, &mut ctx);
+        let first = prepare_ballot(&ctx);
 
         // Crash now: no copy of the Prepare was ever delivered back, so
         // the persisted self-promise is the only trace of the ballot.
@@ -658,10 +753,7 @@ mod tests {
         assert_eq!(recovered.proposal(), Some(&1));
         ctx.clear_effects();
         recovered.tick(true, &mut ctx);
-        let second = match ctx.multisent.last() {
-            Some(InstanceMsg::Prepare { ballot }) => *ballot,
-            other => panic!("expected prepare, got {other:?}"),
-        };
+        let second = prepare_ballot(&ctx);
         assert!(
             second.number > first.number,
             "recovered coordinator reissued ballot {first:?} (got {second:?})"
@@ -670,14 +762,164 @@ mod tests {
 
     #[test]
     fn ticks_retransmit_the_current_phase() {
-        let mut ctx = ctx_for(0, 3);
+        let mut ctx = ctx_for(1, 3);
         let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
-        inst.propose(2, &mut ctx);
-        inst.tick(true, &mut ctx);
+        inst.propose(2, true, &mut ctx);
         ctx.advance(SimDuration::from_millis(40));
         ctx.clear_effects();
         // Still preparing: the prepare is re-multisent.
         inst.tick(true, &mut ctx);
         assert!(matches!(ctx.multisent.last(), Some(InstanceMsg::Prepare { .. })));
+    }
+
+    #[test]
+    fn p0_skips_phase_one_at_ballot_zero_and_logs_under_one_barrier() {
+        let mut ctx = ctx_for(0, 3);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        inst.propose(5, true, &mut ctx);
+
+        // One AcceptRequest at b0, no Prepare, and no eager Query: the
+        // AcceptRequest already draws any known decision.
+        assert_eq!(
+            ctx.multisent,
+            vec![InstanceMsg::AcceptRequest { ballot: Ballot::initial(), value: 5 }]
+        );
+        assert!(ctx.sent.is_empty());
+        // Proposal, promise and accepted value commit in one batch.
+        let snap = ctx.storage().metrics().snapshot();
+        assert_eq!(snap.store_ops, 3);
+        assert_eq!(snap.sync_ops, 1);
+        let storage = ctx.storage_handle();
+        let promised: Option<Ballot> =
+            storage.load_value(&keys::consensus_promised(k())).unwrap();
+        let accepted: Option<(Ballot, u64)> =
+            storage.load_value(&keys::consensus_accepted(k())).unwrap();
+        assert_eq!(promised, Some(Ballot::initial()));
+        assert_eq!(accepted, Some((Ballot::initial(), 5)));
+
+        // p0 counts itself: one more Accepted is a majority of three.
+        ctx.clear_effects();
+        let decided = inst.on_message(
+            ProcessId::new(2),
+            InstanceMsg::Accepted { ballot: Ballot::initial() },
+            &mut ctx,
+        );
+        assert_eq!(decided, Some(5));
+        assert_eq!(ctx.multisent, vec![InstanceMsg::Decided { value: 5 }]);
+    }
+
+    #[test]
+    fn own_accept_request_copy_logs_nothing_more() {
+        let mut ctx = ctx_for(0, 3);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        inst.propose(5, true, &mut ctx);
+        let before = ctx.storage().metrics().snapshot();
+        ctx.clear_effects();
+        let me = ProcessId::new(0);
+        inst.on_message(
+            me,
+            InstanceMsg::AcceptRequest { ballot: Ballot::initial(), value: 5 },
+            &mut ctx,
+        );
+        let delta = ctx.storage().metrics().snapshot().since(&before);
+        assert_eq!(delta.store_ops, 0, "the state on disk is already (b0, 5)");
+        assert_eq!(ctx.sent, vec![(me, InstanceMsg::Accepted { ballot: Ballot::initial() })]);
+    }
+
+    #[test]
+    fn recovered_p0_with_ballot_zero_state_runs_phase_one_and_never_reissues_it() {
+        let mut ctx = ctx_for(0, 3);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        inst.propose(1, true, &mut ctx);
+        assert!(matches!(
+            ctx.multisent.last(),
+            Some(InstanceMsg::AcceptRequest { ballot, .. }) if *ballot == Ballot::initial()
+        ));
+
+        // Crash right after the AcceptRequest(b0) left.  The recovered
+        // coordinator re-proposes a different value (P4 keeps the logged
+        // one) and must use a Phase-1 ballot above b0.
+        let mut recovered: ConsensusInstance<u64> =
+            ConsensusInstance::recover(k(), true, &ctx.storage_handle()).unwrap();
+        ctx.clear_effects();
+        recovered.propose(9, true, &mut ctx);
+        let ballot = prepare_ballot(&ctx);
+        assert!(ballot > Ballot::initial());
+        assert_eq!(ballot.coordinator, ProcessId::new(0));
+        for _ in 0..3 {
+            recovered.tick(true, &mut ctx);
+        }
+        assert!(
+            ctx.multisent
+                .iter()
+                .all(|m| !matches!(m, InstanceMsg::AcceptRequest { ballot, .. } if *ballot == Ballot::initial())),
+            "b0 was re-issued: {:?}",
+            ctx.multisent
+        );
+
+        // Its own promise reports (b0, 1), so Phase 2 carries the logged 1.
+        ctx.clear_effects();
+        recovered.on_message(
+            ProcessId::new(1),
+            InstanceMsg::Promise { ballot, accepted: None },
+            &mut ctx,
+        );
+        assert_eq!(ctx.multisent, vec![InstanceMsg::AcceptRequest { ballot, value: 1 }]);
+    }
+
+    #[test]
+    fn nack_on_ballot_zero_falls_back_to_phase_one() {
+        let mut ctx = ctx_for(0, 3);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        inst.propose(1, true, &mut ctx);
+        inst.on_message(
+            ProcessId::new(1),
+            InstanceMsg::Nack { ballot: Ballot::initial(), promised: b(4, 1) },
+            &mut ctx,
+        );
+        ctx.clear_effects();
+        inst.tick(true, &mut ctx);
+        let ballot = prepare_ballot(&ctx);
+        assert!(ballot.number > 4);
+        assert_eq!(ballot.coordinator, ProcessId::new(0));
+    }
+
+    #[test]
+    fn p0_that_already_promised_another_ballot_runs_phase_one() {
+        let mut ctx = ctx_for(0, 3);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        inst.on_message(ProcessId::new(1), InstanceMsg::Prepare { ballot: b(1, 1) }, &mut ctx);
+        ctx.clear_effects();
+        inst.propose(2, true, &mut ctx);
+        assert!(prepare_ballot(&ctx) > b(1, 1));
+    }
+
+    #[test]
+    fn other_coordinators_and_crash_stop_always_run_phase_one() {
+        for me in 1..3 {
+            let mut ctx = ctx_for(me, 3);
+            let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+            inst.propose(3, true, &mut ctx);
+            assert_eq!(ctx.multisent.len(), 1, "{:?}", ctx.multisent);
+            assert_eq!(prepare_ballot(&ctx).coordinator, ProcessId::new(me));
+        }
+        // A crash-stop instance logs nothing, so nothing binds b0 to one
+        // value: p0 runs Phase 1 too.
+        let mut ctx = ctx_for(0, 3);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), false);
+        inst.propose(3, true, &mut ctx);
+        assert!(prepare_ballot(&ctx) > Ballot::initial());
+    }
+
+    #[test]
+    fn a_learner_of_a_decided_message_sends_nothing() {
+        let mut ctx = ctx_for(2, 3);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        inst.propose(6, false, &mut ctx);
+        ctx.clear_effects();
+        let learned =
+            inst.on_message(ProcessId::new(0), InstanceMsg::Decided { value: 6 }, &mut ctx);
+        assert_eq!(learned, Some(6));
+        assert!(ctx.sent.is_empty() && ctx.multisent.is_empty());
     }
 }

@@ -149,14 +149,10 @@ impl<V: ConsensusValue> MultiConsensus<V> {
             move |msg| ConsensusMsg::Instance { instance: k, msg },
             CONSENSUS_TIMER_SPAN,
         );
-        instance.propose(value, &mut inst_ctx);
-        // If this process currently holds the leadership, start the ballot
-        // right away instead of waiting for the next driver tick — the tick
-        // remains as the retransmission fallback.  This keeps decision
-        // latency at a few network round-trips rather than a timer period.
-        if is_leader && !instance.is_decided() {
-            instance.tick(true, &mut inst_ctx);
-        }
+        // The leader starts its ballot in the same step instead of waiting
+        // for the next driver tick, keeping decision latency at a few
+        // network round trips rather than a timer period.
+        instance.propose(value, is_leader, &mut inst_ctx);
     }
 
     /// The paper's `decided(k)`: the decision of instance `k`, if known

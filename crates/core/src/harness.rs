@@ -428,9 +428,12 @@ mod tests {
                     .with_protocol(protocol),
             );
             let mut ids = Vec::new();
+            // One submission every 500 µs outpaces one round (p0's
+            // ballot-0 round trip is 2 ms on this link, two messages per
+            // batch), so the pipelined run has rounds to overlap.
             for i in 0..10u8 {
                 ids.extend(cluster.broadcast(p(0), vec![i; 4]));
-                cluster.run_for(SimDuration::from_millis(2));
+                cluster.run_for(SimDuration::from_micros(500));
             }
             assert!(
                 cluster.run_until_all_delivered(cluster.now() + SimDuration::from_secs(30)),

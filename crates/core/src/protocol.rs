@@ -330,6 +330,13 @@ impl AtomicBroadcast {
     /// The body of `A-broadcast`, run under a one-barrier batching scope:
     /// the `Unordered` log entry and the consensus proposal it may trigger
     /// share a single durability barrier.
+    ///
+    /// A process that is not the Ω leader also hands its whole `Unordered`
+    /// set to the leader right away — the same `gossip(k_p, Unordered_p)`
+    /// the gossip task sends, addressed to the one process whose proposal
+    /// decides in the failure-free case — so a new message reaches it in
+    /// one hop instead of waiting up to a gossip period.  Like every send
+    /// of the step, it leaves only after the step's commit.
     fn broadcast_step(&mut self, payload: Payload, ctx: &mut dyn ActorContext<AbcastMsg>) -> MsgId {
         let id = self.assign_id(ctx);
         if self.halted {
@@ -353,6 +360,16 @@ impl AtomicBroadcast {
             }
         }
         self.try_advance(ctx);
+        let leader = self.consensus.leader(ctx.me());
+        if leader != ctx.me() && !self.unordered.is_empty() {
+            ctx.send(
+                leader,
+                AbcastMsg::Gossip {
+                    round: self.kp,
+                    unordered: self.unordered.to_batch(),
+                },
+            );
+        }
         id
     }
 
@@ -1323,6 +1340,60 @@ mod tests {
     }
 
     #[test]
+    fn a_non_leader_broadcast_pushes_its_whole_unordered_set_to_the_leader() {
+        let mut ctx = ctx_for(1, 3);
+        let mut actor = alternative_actor();
+        actor.on_start(&mut ctx);
+        let first = actor.a_broadcast(b"a".to_vec(), &mut ctx);
+        ctx.clear_effects();
+        let second = actor.a_broadcast(b"b".to_vec(), &mut ctx);
+        let pushes: Vec<&(ProcessId, AbcastMsg)> =
+            ctx.sent.iter().filter(|(_, m)| m.is_gossip()).collect();
+        assert_eq!(pushes.len(), 1, "exactly one push per broadcast: {:?}", ctx.sent);
+        let (to, AbcastMsg::Gossip { round, unordered }) = pushes[0] else {
+            unreachable!()
+        };
+        assert_eq!(*to, ProcessId::new(0), "the push goes to the Ω leader");
+        assert_eq!(*round, Round::ZERO);
+        let ids: Vec<MsgId> = unordered.iter().map(AppMessage::id).collect();
+        assert_eq!(ids, vec![first, second], "the whole set, not just the new message");
+        assert!(ctx.multisent.iter().all(|m| !m.is_gossip()));
+    }
+
+    #[test]
+    fn the_leader_pushes_no_gossip_when_it_broadcasts() {
+        let mut ctx = ctx_for(0, 3);
+        let mut actor = alternative_actor();
+        actor.on_start(&mut ctx);
+        ctx.clear_effects();
+        actor.a_broadcast(b"a".to_vec(), &mut ctx);
+        assert!(ctx.all_outgoing().iter().all(|m| !m.is_gossip()));
+    }
+
+    #[test]
+    fn the_push_to_the_leader_leaves_only_after_the_step_commit() {
+        use abcast_storage::{FaultSchedule, FaultyStorage, InMemoryStorage, WriteFaultKind};
+        let schedule = (0..64).fold(FaultSchedule::new(), |s, op| {
+            s.write_fault(op, WriteFaultKind::DiskFull)
+        });
+        let disk = std::sync::Arc::new(FaultyStorage::new(
+            std::sync::Arc::new(InMemoryStorage::new()),
+            schedule,
+        ));
+        disk.disarm();
+        let mut ctx = ctx_for(1, 3).with_storage(disk.clone());
+        let mut actor = alternative_actor();
+        actor.on_start(&mut ctx);
+        ctx.clear_effects();
+        // The broadcast's commit fails: the step's messages, the push
+        // included, never leave, and the process fail-stops.
+        disk.arm();
+        actor.a_broadcast(b"a".to_vec(), &mut ctx);
+        assert!(actor.is_halted());
+        assert!(ctx.sent.is_empty() && ctx.multisent.is_empty());
+    }
+
+    #[test]
     fn a_broadcast_in_basic_mode_logs_nothing_at_the_broadcast_layer() {
         let mut ctx = ctx_for(0, 3);
         let mut actor = basic_actor();
@@ -1331,14 +1402,12 @@ mod tests {
         actor.a_broadcast(b"m".to_vec(), &mut ctx);
         let delta = ctx.storage().metrics().snapshot().since(&before);
         // One write for the broadcast-epoch slot (identity management),
-        // one for the consensus proposal, and one for the coordinator's
-        // self-promise at ballot issuance (the durable issued-ballot
-        // watermark); nothing else.
-        assert!(
-            delta.write_ops() <= 3,
-            "basic A-broadcast wrote {} times",
-            delta.write_ops()
-        );
+        // one for the consensus proposal, and p0's ballot-0 promise and
+        // accepted value (the fast path's acceptor state, which doubles as
+        // the durable issued-ballot watermark); nothing else, and all of
+        // it under the step's one barrier.
+        assert_eq!(delta.write_ops(), 4, "basic A-broadcast wrote {} times", delta.write_ops());
+        assert_eq!(delta.sync_ops, 1);
         assert_eq!(actor.unordered_len(), 1);
         assert_eq!(actor.metrics().broadcasts, 1);
     }

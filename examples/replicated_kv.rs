@@ -68,7 +68,7 @@ fn main() {
     sim.crash_now(p(3));
     sim.crash_now(p(4));
     let cmd = KvCommand::put("user:0", "written-during-outage");
-    sim.with_actor_mut(p(0), |r, ctx| r.submit(&cmd, ctx));
+    ids.extend(sim.with_actor_mut(p(0), |r, ctx| r.submit(&cmd, ctx)));
     sim.run_for(SimDuration::from_secs(2));
 
     match quorum_read(&sim, &quorums, "user:0") {
